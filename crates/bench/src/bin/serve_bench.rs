@@ -10,7 +10,7 @@
 //! (`eval_latency_us`) is untouched — so the printed overhead is purely
 //! the pause/serialise/resume cycles.
 //!
-//! **Fleet mode** drives the `--reactor` front-end with a mixed client
+//! **Fleet mode** drives the daemon with a mixed client
 //! fleet — roughly half idle connection holders, a quarter slow-loris
 //! writers that trickle a well-formed request byte by chunk, and a
 //! quarter pipelined submitters — with SplitMix64-seeded think times,
@@ -91,17 +91,10 @@ fn fleet_request(id: Option<String>) -> Request {
     }
 }
 
-/// Drives `clients` mixed clients at an in-process reactor daemon and
-/// merges the percentile summary into `out` as `serve_fleet`.
+/// Drives `clients` mixed clients at an in-process daemon and merges
+/// the percentile summary into `out` as `serve_fleet`.
 fn run_fleet(clients: usize, out: &std::path::Path) {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeOptions {
-            reactor: true,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("binds");
+    let server = Server::bind("127.0.0.1:0", ServeOptions::default()).expect("binds");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
 
@@ -109,7 +102,7 @@ fn run_fleet(clients: usize, out: &std::path::Path) {
     // client paying the cold profiling cost for everyone.
     submit(&addr, &fleet_request(None)).expect("warm-up submit succeeds");
 
-    eprintln!("driving {clients} mixed clients at reactor daemon {addr}...");
+    eprintln!("driving {clients} mixed clients at daemon {addr}...");
     let t0 = Instant::now();
     let latencies: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let errors = Arc::new(AtomicU64::new(0));

@@ -9,7 +9,9 @@
 //! same store and spool directories, the request is resubmitted, and
 //! the response must come back. Optionally the generations overlap on
 //! one store directory (two daemons, one store) and a panicking
-//! profile-build worker is injected between them.
+//! profile-build worker is injected between them. The daemons run the
+//! one connection front end (`aceso_serve::reactor`), the same event
+//! loop the benchmarks drive.
 //!
 //! After every run the engine checks the standing oracles
 //! (INV-CHAOS-ORACLE):

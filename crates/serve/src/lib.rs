@@ -12,13 +12,13 @@
 //!   event frame builders);
 //! * [`cache`] — [`ProfileCache`], the cross-request LRU profile-db
 //!   cache keyed by (model fingerprint, cluster fingerprint);
-//! * [`server`] — [`Server`], the bounded-worker accept loop with
-//!   graceful drain, per-connection i/o deadlines, and (with
-//!   `--spool-dir`) crash-recovery checkpoint spooling;
-//! * [`reactor`] — the readiness-driven front-end (`--reactor`): every
-//!   connection on one nonblocking event-loop thread, incremental
-//!   framing, request pipelining with `request_id`-tagged responses,
-//!   and round-robin fair dispatch into the worker pool;
+//! * [`server`] — [`Server`] and its options: admission checks,
+//!   graceful drain, and (with `--spool-dir`) crash-recovery checkpoint
+//!   spooling;
+//! * [`reactor`] — the connection front end: every connection on one
+//!   nonblocking event-loop thread, incremental framing, stall
+//!   deadlines, request pipelining with `request_id`-tagged responses,
+//!   and round-robin fair dispatch into an on-demand worker pool;
 //! * [`client`] — blocking [`submit`]/[`shutdown`]/[`server_stats`]
 //!   helpers, the collected [`Response`], and [`submit_with_retries`]
 //!   (bounded backoff with deterministic jitter);

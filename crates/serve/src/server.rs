@@ -1,9 +1,10 @@
 //! The TCP search daemon.
 //!
 //! One [`Server`] owns a listener, a [`ProfileCache`], and a bounded
-//! worker pool. Connections are handled on spawned threads; each
-//! well-formed request runs an `AcesoSearch` and streams back status
-//! frames, the structured event feed, and a final result frame (see
+//! worker pool. Connections are served by the readiness-driven event
+//! loop in [`crate::reactor`]; each well-formed request runs an
+//! `AcesoSearch` on a worker and streams back status frames, the
+//! structured event feed, and a final result frame (see
 //! `docs/SERVER.md` for the wire contract).
 //!
 //! Determinism note: per-request responses carry the *same* metric
@@ -15,28 +16,31 @@
 
 use crate::cache::ProfileCache;
 use crate::proto::{error_frame, event_frame, status_frame, Request};
-use crate::wire::{read_frame, write_frame, WireError, PROTOCOL_VERSION};
+use crate::reactor::QueueSink;
+use crate::wire::PROTOCOL_VERSION;
 use aceso_cluster::ClusterSpec;
 use aceso_core::{AcesoSearch, ResumeError, SearchCheckpoint, SearchResult, SearchStep};
-use aceso_model::zoo;
 use aceso_obs::{Counter, Event, Metrics, ObsReport, Recorder};
 use aceso_runtime::ExecutionPlan;
 use aceso_util::fnv1a;
 use aceso_util::fsio::{self, Fs, RealFs};
 use aceso_util::json::{obj, FromJson, Value};
 use aceso_util::retention::SweepOutcome;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Daemon configuration knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Maximum concurrently running search requests; further requests
-    /// are rejected with `rejected-busy` (no queueing). `0` rejects
-    /// every search — useful for drills and tests.
+    /// Maximum concurrently running search requests. Worker threads are
+    /// spawned on demand up to this bound; further admitted requests
+    /// wait in their connection's queue (at most
+    /// [`crate::reactor::PIPELINE_DEPTH`] per connection). `0` rejects
+    /// every search with `rejected-busy` at admission — useful for
+    /// drills and tests.
     pub workers: usize,
     /// LRU byte budget of the profile cache.
     pub cache_bytes: u64,
@@ -54,11 +58,12 @@ pub struct ServeOptions {
     /// *before* the operator graph is built, so an absurd depth cannot
     /// make the server allocate.
     pub max_deepnet_layers: Option<usize>,
-    /// Read/write deadline on accepted connections. A peer that stalls
-    /// mid-frame (or connects and sends nothing) is cut loose with a
-    /// typed `timeout` error instead of pinning a connection thread
-    /// forever. `None` disables the deadlines. The deadline applies per
-    /// socket operation, so a long search between frames never trips it.
+    /// Stall deadline on accepted connections. A peer that stalls
+    /// mid-frame (slow loris) is cut loose with a typed `timeout` error,
+    /// and one that stops draining its response is closed. A connection
+    /// that is merely idle between frames is held indefinitely
+    /// (INV-NONBLOCK, `docs/SERVER.md`), so a long search never trips
+    /// it. `None` disables the deadline.
     pub io_timeout: Option<Duration>,
     /// Directory for crash-recovery checkpoint spools. When set,
     /// searches submitted with a `request_id` write a [`SearchCheckpoint`]
@@ -71,22 +76,14 @@ pub struct ServeOptions {
     /// meaningful with [`ServeOptions::spool_dir`]. Clamped to ≥ 1.
     pub checkpoint_every: usize,
     /// Age (seconds) past which an abandoned spool file is pruned. The
-    /// sweep runs once at daemon start and then periodically while the
-    /// daemon is up. Spools exist precisely so clients can come back
+    /// event loop sweeps once at daemon start and then once per TTL
+    /// while the daemon is up. Spools exist precisely so clients can come back
     /// later, so the TTL should comfortably exceed any plausible retry
     /// horizon. `None` (the default) never prunes.
     pub spool_ttl_secs: Option<u64>,
-    /// Serve connections through the readiness-driven reactor
-    /// (`crates/serve/src/reactor.rs`, `--reactor`) instead of a thread
-    /// per connection. The reactor holds thousands of idle clients on
-    /// one thread, supports request pipelining (responses tagged by
-    /// `request_id`), and dispatches round-robin into the bounded worker
-    /// pool; see the reactor section of `docs/SERVER.md`.
-    pub reactor: bool,
-    /// Reactor-only cap on simultaneously open connections; a connection
-    /// accepted past the cap receives a typed `connection-limit` error
-    /// and is closed. `0` (the default) means unlimited. The blocking
-    /// front-end ignores this knob — its natural cap is thread count.
+    /// Cap on simultaneously open connections; a connection accepted
+    /// past the cap receives a typed `connection-limit` error and is
+    /// closed. `0` (the default) means unlimited.
     pub max_connections: usize,
     /// Directory of the persistent profile store — the disk tier under
     /// the [`ProfileCache`]. When set, cache misses consult the store
@@ -127,7 +124,6 @@ impl Default for ServeOptions {
             spool_dir: None,
             checkpoint_every: 8,
             spool_ttl_secs: None,
-            reactor: false,
             max_connections: 0,
             store_dir: None,
             store_budget_bytes: 256 << 20,
@@ -137,24 +133,22 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared by the accept loop (or reactor) and every worker.
+/// State shared by the event loop and every worker.
 pub(crate) struct Shared {
     pub(crate) opts: ServeOptions,
     pub(crate) cache: ProfileCache,
     pub(crate) addr: SocketAddr,
     pub(crate) draining: AtomicBool,
-    pub(crate) in_flight: Mutex<usize>,
-    pub(crate) idle: Condvar,
     pub(crate) requests: AtomicU64,
     pub(crate) rejected: AtomicU64,
     pub(crate) checkpoints_written: AtomicU64,
     pub(crate) searches_resumed: AtomicU64,
     pub(crate) client_retries: AtomicU64,
-    /// Open-connection gauge maintained by the reactor (accepted minus
-    /// closed); stays zero under the blocking front-end.
+    /// Open-connection gauge maintained by the event loop (accepted
+    /// minus closed).
     pub(crate) connections_open: AtomicU64,
     /// Requests that arrived on a connection already carrying queued or
-    /// in-flight work (reactor pipelining).
+    /// in-flight work (pipelining).
     pub(crate) pipelined_requests: AtomicU64,
     /// Round-robin dispatches that preferred a connection with nothing
     /// in flight while another connection's pipelined request waited.
@@ -250,11 +244,6 @@ impl Shared {
         report
     }
 
-    fn reject(&self, stream: &mut TcpStream, code: &str, message: &str) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        let _ = write_frame(stream, &error_frame(code, message));
-    }
-
     /// Records `errors` failed removals from a retention sweep over
     /// `dir`: counts them into `retention_sweep_errors` and surfaces a
     /// typed `sweep_degraded` event instead of dropping the failures on
@@ -283,17 +272,6 @@ impl Shared {
                 request_id: request_id.to_string(),
                 reason,
             });
-    }
-}
-
-/// Releases one worker slot on drop, whatever path the request took.
-struct SlotGuard<'a>(&'a Shared);
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        let mut n = self.0.in_flight.lock().expect("slot lock");
-        *n -= 1;
-        self.0.idle.notify_all();
     }
 }
 
@@ -327,8 +305,6 @@ impl Server {
             opts,
             addr,
             draining: AtomicBool::new(false),
-            in_flight: Mutex::new(0),
-            idle: Condvar::new(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
@@ -348,72 +324,12 @@ impl Server {
         self.shared.addr
     }
 
-    /// Runs the accept loop until a `shutdown` frame arrives, then
-    /// drains in-flight requests and returns the server-level
-    /// observability report (the serve counter quartet).
-    ///
-    /// With [`ServeOptions::reactor`] set, connections are served by the
-    /// readiness-driven reactor ([`crate::reactor`]) instead of a thread
-    /// per connection; the drain-and-report contract is identical.
+    /// Serves connections until a `shutdown` frame arrives, then
+    /// drains queued and in-flight requests and returns the server-level
+    /// observability report. Connections are served by the
+    /// readiness-driven event loop ([`crate::reactor`]).
     pub fn run(self) -> ObsReport {
-        if self.shared.opts.reactor {
-            // The reactor sweeps spools from its own event loop (no
-            // dedicated thread): one sweep at startup, then one per TTL.
-            return crate::reactor::run(&self.listener, &self.shared);
-        }
-        let sweeper = self.spawn_spool_sweeper();
-        for conn in self.listener.incoming() {
-            if self.shared.draining.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(&shared, stream));
-        }
-        // Release any request coalesced on a profile build before
-        // blocking on the drain: a stranded cache waiter would hold its
-        // worker slot and the drain below would never finish.
-        self.shared.cache.shutdown();
-        // Graceful drain: wait for every in-flight search to finish.
-        let mut n = self.shared.in_flight.lock().expect("slot lock");
-        while *n > 0 {
-            n = self.shared.idle.wait(n).expect("slot lock");
-        }
-        drop(n);
-        if let Some(handle) = sweeper {
-            let _ = handle.join();
-        }
-        self.shared.report()
-    }
-
-    /// Starts the background spool sweeper when both a spool directory
-    /// and a TTL are configured: one sweep immediately (reclaiming spools
-    /// abandoned across daemon restarts), then one per TTL interval,
-    /// polling the drain flag often enough to exit promptly.
-    fn spawn_spool_sweeper(&self) -> Option<std::thread::JoinHandle<()>> {
-        let ttl = Duration::from_secs(self.shared.opts.spool_ttl_secs.filter(|t| *t > 0)?);
-        let dir = self.shared.opts.spool_dir.clone()?;
-        let shared = Arc::clone(&self.shared);
-        Some(std::thread::spawn(move || {
-            let sweep = |shared: &Shared| {
-                let outcome = sweep_spools_with(shared.opts.fs.as_ref(), &dir, ttl);
-                shared.note_sweep_errors(&dir.display().to_string(), outcome.errors as u64);
-            };
-            sweep(&shared);
-            let mut since_sweep = Duration::ZERO;
-            loop {
-                let tick = ttl.min(Duration::from_millis(200));
-                std::thread::sleep(tick);
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                since_sweep += tick;
-                if since_sweep >= ttl {
-                    sweep(&shared);
-                    since_sweep = Duration::ZERO;
-                }
-            }
-        }))
+        crate::reactor::run(&self.listener, &self.shared)
     }
 }
 
@@ -437,84 +353,6 @@ pub fn sweep_spools_with(fs: &dyn Fs, dir: &Path, ttl: Duration) -> SweepOutcome
     aceso_util::retention::remove_all_with(fs, &expired)
 }
 
-/// True when an i/o error is a socket deadline expiring. Both kinds
-/// appear in the wild: Unix reports `WouldBlock`, Windows `TimedOut`.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Serves one connection: a sequence of frames until the peer closes.
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
-    if let Some(deadline) = shared.opts.io_timeout {
-        // Best-effort: a socket that cannot take a deadline still works,
-        // it just falls back to the pre-deadline behaviour.
-        let _ = stream.set_read_timeout(Some(deadline));
-        let _ = stream.set_write_timeout(Some(deadline));
-    }
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(v) => v,
-            Err(WireError::Closed) => return,
-            Err(WireError::Oversize(n)) => {
-                // The unread payload leaves the stream unframed; reject
-                // and drop the connection.
-                shared.reject(
-                    &mut stream,
-                    "oversize-frame",
-                    &WireError::Oversize(n).to_string(),
-                );
-                return;
-            }
-            Err(WireError::BadJson(e)) => {
-                // Framing stayed aligned (the payload was consumed), so
-                // the connection can continue after the typed error.
-                shared.reject(&mut stream, "bad-frame", &e);
-                continue;
-            }
-            Err(WireError::Io(e)) if is_timeout(&e) => {
-                // The peer stalled past --io-timeout (mid-frame or just
-                // idle). Tell it why, then drop the connection: a stalled
-                // read may have consumed part of a frame, so the stream
-                // is no longer trustworthy.
-                shared.reject(
-                    &mut stream,
-                    "timeout",
-                    "connection idled past the server's i/o deadline",
-                );
-                return;
-            }
-            Err(WireError::Io(_)) => return,
-        };
-        match frame.get("type").and_then(|t| t.as_str().ok()) {
-            Some("request") => handle_request(shared, &mut stream, &frame),
-            Some("stats") => {
-                let report = shared.report();
-                let metrics = Value::parse(&report.metrics_json()).expect("own snapshot parses");
-                let _ = write_frame(
-                    &mut stream,
-                    &obj([("type", Value::Str("stats".into())), ("metrics", metrics)]),
-                );
-            }
-            Some("shutdown") => {
-                shared.draining.store(true, Ordering::SeqCst);
-                let _ = write_frame(&mut stream, &obj([("type", Value::Str("ok".into()))]));
-                // Wake the blocking accept loop so it observes the flag.
-                let _ = TcpStream::connect(shared.addr);
-            }
-            other => {
-                shared.reject(
-                    &mut stream,
-                    "unknown-frame-type",
-                    &format!("unknown frame type {other:?}"),
-                );
-            }
-        }
-    }
-}
-
 /// Layer count of a `deepnet-<N>l` model name, parsed without building
 /// the graph (mirrors `zoo::by_name`'s vocabulary).
 fn deepnet_layers(model: &str) -> Option<usize> {
@@ -525,51 +363,13 @@ fn deepnet_layers(model: &str) -> Option<usize> {
         .ok()
 }
 
-/// Where a request's response frames go: straight down the socket in
-/// blocking mode ([`StreamSink`]), or into the reactor's tagged
-/// outbound queue. The abstraction keeps [`execute_request`] — and
-/// therefore the bytes of every response frame — identical across both
-/// front-ends.
-pub(crate) trait FrameSink {
-    /// Sends one frame. An error means the client is unreachable and
-    /// the request should stop streaming.
-    fn send(&mut self, frame: &Value) -> Result<(), WireError>;
-
-    /// Sends the final result frame and, once it has actually reached
-    /// the peer, removes the request's spool file. The spool outlives
-    /// the request until the client has the result in hand, so a
-    /// connection lost at the last moment still resumes on resubmit.
-    fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError>;
-}
-
-/// Blocking sink: frames go straight down the connection's socket.
-/// Carries the daemon's filesystem handle so the final-frame spool
-/// removal goes through the same injectable [`Fs`] as every other
-/// spool side-effect.
-struct StreamSink<'a>(&'a mut TcpStream, &'a dyn Fs);
-
-impl FrameSink for StreamSink<'_> {
-    fn send(&mut self, frame: &Value) -> Result<(), WireError> {
-        write_frame(self.0, frame)
-    }
-
-    fn send_final(&mut self, frame: &Value, spool: Option<&Path>) -> Result<(), WireError> {
-        write_frame(self.0, frame)?;
-        // The write reached the kernel; the saved work is now redundant.
-        if let Some(path) = spool {
-            let _ = self.1.remove_file(path);
-        }
-        Ok(())
-    }
-}
-
 /// The cheap admission checks every request passes before it is allowed
 /// anywhere near a worker: protocol version, frame shape, drain state,
 /// and the resource caps. Returns the parsed request or a typed
 /// `(code, message)` rejection. Deliberately excludes `zoo::by_name` —
-/// the one validation that builds a graph — so the reactor can run this
-/// on its event-loop thread without stalling other connections
-/// (INV-NONBLOCK, `docs/SERVER.md`).
+/// the one validation that builds a graph — so the event loop can run
+/// this without stalling other connections (INV-NONBLOCK,
+/// `docs/SERVER.md`).
 pub(crate) fn validate_request(
     shared: &Shared,
     frame: &Value,
@@ -633,57 +433,15 @@ pub(crate) fn validate_request(
     Ok(req)
 }
 
-/// Validates, admits, runs, and streams one search request (blocking
-/// front-end).
-fn handle_request(shared: &Shared, stream: &mut TcpStream, frame: &Value) {
-    let req = match validate_request(shared, frame) {
-        Ok(r) => r,
-        Err((code, message)) => {
-            shared.reject(stream, code, &message);
-            return;
-        }
-    };
-    let Some(model) = zoo::by_name(&req.model) else {
-        shared.reject(
-            stream,
-            "unknown-model",
-            &format!("unknown model `{}`", req.model),
-        );
-        return;
-    };
-    // Backpressure: try-acquire a worker slot, never queue.
-    let _slot = {
-        let mut n = shared.in_flight.lock().expect("slot lock");
-        if *n >= shared.opts.workers {
-            drop(n);
-            shared.reject(
-                stream,
-                "rejected-busy",
-                &format!("{} requests already in flight", shared.opts.workers),
-            );
-            return;
-        }
-        *n += 1;
-        SlotGuard(shared)
-    };
-    execute_request(
-        shared,
-        &req,
-        &model,
-        &mut StreamSink(stream, shared.opts.fs.as_ref()),
-    );
-}
-
-/// Runs one admitted request and streams its response frames into
-/// `sink`. Both front-ends funnel through here, which is what keeps a
-/// reactor-served response bit-identical to a blocking one (and both
-/// identical to a direct `run_observed` run): the frames are built
-/// once, in one place, in one order.
+/// Runs one admitted request on a worker and streams its response
+/// frames into `sink`. The frames are built once, here, in one order,
+/// which is what keeps a served response bit-identical to a direct
+/// `run_observed` run.
 pub(crate) fn execute_request(
     shared: &Shared,
     req: &Request,
     model: &aceso_model::ModelGraph,
-    sink: &mut dyn FrameSink,
+    sink: QueueSink,
 ) {
     shared.requests.fetch_add(1, Ordering::Relaxed);
 

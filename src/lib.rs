@@ -84,7 +84,7 @@ usage: aceso [search] --model <name> [--gpus N] [--budget-secs S] [--stages P]
              [--max-budget-secs S] [--max-gpus N] [--max-iterations I]
              [--max-deepnet-layers L] [--io-timeout-secs S]
              [--spool-dir DIR] [--checkpoint-every I]
-             [--spool-ttl-secs S] [--reactor] [--max-connections N]
+             [--spool-ttl-secs S] [--max-connections N]
              [--store-dir DIR] [--store-budget-bytes N]
        aceso store (ls | verify | prune) --dir DIR
        aceso submit --addr HOST:PORT (--model <name> [--gpus N] [--stages P]
@@ -136,10 +136,14 @@ the model-zoo corpus; exits non-zero if any finding is reported
   --metrics-out FILE  write an observability metric snapshot with the
                     per-rule `audit_findings` counter family
 
-serve: run the search daemon (wire contract in docs/SERVER.md)
+serve: run the search daemon (wire contract in docs/SERVER.md); one
+event-loop thread holds every connection, so idle clients cost no
+thread, and requests may be pipelined (responses tagged by request_id)
   --addr HOST:PORT  listen address (default 127.0.0.1:7100; port 0 picks
                     an ephemeral port, printed as `listening on ...`)
-  --workers N       max concurrent searches, excess rejected (default 4)
+  --workers N       max concurrent searches; excess requests wait in
+                    their connection's queue (default 4; 0 rejects every
+                    search with `rejected-busy`)
   --cache-mb M      profile-cache byte budget in MiB (default 256)
   --max-budget-secs S  reject requests with a larger wall-clock budget
                     (default 600; 0 = unlimited)
@@ -149,8 +153,10 @@ serve: run the search daemon (wire contract in docs/SERVER.md)
                     iteration budget (default 10000; 0 = unlimited)
   --max-deepnet-layers L  reject deeper deepnet-<N>l requests before the
                     graph is built (default 1024; 0 = unlimited)
-  --io-timeout-secs S  per-connection read/write deadline; stalled peers
-                    get a typed `timeout` error (default 30; 0 = none)
+  --io-timeout-secs S  stall deadline: a peer stalled mid-frame gets a
+                    typed `timeout` error, one that stops reading its
+                    response is closed; idle connections are held
+                    (default 30; 0 = none)
   --spool-dir DIR   spool per-request-id search checkpoints here so a
                     resubmitted request resumes after a crash or dropped
                     connection (docs/SERVER.md; default: no spooling)
@@ -159,13 +165,7 @@ serve: run the search daemon (wire contract in docs/SERVER.md)
                     startup and periodically while serving (default: no
                     pruning; reclaims spools abandoned by crashed or
                     never-resubmitted requests)
-  --reactor         serve every connection from one readiness-driven
-                    event-loop thread instead of thread-per-connection:
-                    idle clients cost no thread, requests may be
-                    pipelined (responses tagged by request_id), and
-                    dispatch into the worker pool is round-robin fair
-                    (docs/SERVER.md)
-  --max-connections N  reactor only: reject further connections with a
+  --max-connections N  reject further connections with a
                     typed `connection-limit` error while N are open
                     (default 0 = unlimited)
   --store-dir DIR   persist built profile databases here and reload them

@@ -264,10 +264,6 @@ fn run_serve(mut it: impl Iterator<Item = String>) -> ! {
                     .map(|s| opts.spool_ttl_secs = (s > 0).then_some(s))
                     .map_err(|e| format!("--spool-ttl-secs: {e}"))
             }),
-            "--reactor" => {
-                opts.reactor = true;
-                Ok(())
-            }
             "--max-connections" => value("--max-connections").and_then(|v| {
                 v.parse::<usize>()
                     .map(|n| opts.max_connections = n)
