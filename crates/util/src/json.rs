@@ -84,7 +84,11 @@ impl Value {
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -290,6 +294,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -438,13 +443,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid UTF-8", self.pos))?;
-                    let c = text.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next
+                    // quote or escape in one step. Both delimiters are
+                    // ASCII, so the run ends on a char boundary of the
+                    // already-valid UTF-8 input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -624,6 +632,28 @@ mod tests {
         let s = "quote\" slash\\ newline\n tab\t unicode→ ctrl\u{1}";
         let v = Value::Str(s.into());
         assert_eq!(Value::parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    /// A long string mixing ASCII, 2-, 3- and 4-byte UTF-8 and every
+    /// character the writer escapes round-trips exactly, and a document
+    /// spelling out every escape the parser accepts decodes exactly.
+    #[test]
+    fn long_mixed_strings_round_trip_exactly() {
+        let unit = "plain ascii é→😀 \" \\ / \n \r \t \u{8} \u{c} \u{1} \u{1f} end";
+        let v = obj([("s", Value::Str(unit.repeat(2000)))]);
+        for text in [v.to_string_compact(), v.to_string_pretty()] {
+            assert_eq!(Value::parse(&text).unwrap(), v);
+        }
+        let escaped = r#""q\" b\\ s\/ bs\b ff\f n\n r\r t\t u\u00e9\u2192 é😀""#;
+        assert_eq!(
+            Value::parse(escaped).unwrap(),
+            Value::Str("q\" b\\ s/ bs\u{8} ff\u{c} n\n r\r t\t u\u{e9}\u{2192} é😀".into())
+        );
+        let open = &escaped[..escaped.len() - 1];
+        assert_eq!(
+            Value::parse(open).unwrap_err(),
+            JsonError::new("unterminated string", open.len())
+        );
     }
 
     #[test]
