@@ -390,7 +390,7 @@ pub fn submit_pipelined(addr: &str, reqs: &[Request]) -> Result<PipelineOutcomes
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RetryClass {
     /// The server answered with a transient rejection (`rejected-busy`,
-    /// a `timeout` idle cut): short backoff.
+    /// a `timeout` stall cut): short backoff.
     Busy,
     /// The transport failed — the daemon may be down or restarting:
     /// long backoff.
