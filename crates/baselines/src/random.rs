@@ -37,7 +37,6 @@ mod tests {
         let db = ProfileDb::build(&m, &c);
         let base = SearchOptions {
             max_iterations: 8,
-            parallel: false,
             stage_counts: Some(vec![2]),
             ..SearchOptions::default()
         };

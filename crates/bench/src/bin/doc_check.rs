@@ -26,8 +26,9 @@ use aceso::obs::SCHEMA_VERSION;
 use aceso::search::CHECKPOINT_SCHEMA_VERSION;
 use aceso::store::STORE_SCHEMA_VERSION;
 
-/// Flags that belong to external tools (cargo) which the docs may
-/// legitimately mention without the `aceso` binary advertising them.
+/// Flags that belong to external tools (cargo, and the `perfbench`
+/// benchmark binary) which the docs may legitimately mention without
+/// the `aceso` binary advertising them.
 const EXTERNAL_FLAGS: &[&str] = &[
     "--release",
     "--bin",
@@ -36,6 +37,11 @@ const EXTERNAL_FLAGS: &[&str] = &[
     "--workspace",
     "--quiet",
     "--all-targets",
+    "--offline",
+    "--manifest-path",
+    // perfbench's own flags (docs/BENCHMARKS.md).
+    "--workload",
+    "--seconds",
 ];
 
 /// Backticked snake_case tokens that appear in doc table rows but name
@@ -54,21 +60,6 @@ const STRUCTURAL_TOKENS: &[&str] = &[
     "seq",
     "kind",
     "wall_time_secs",
-    // BENCH_search.json fields and the tools that write/gate them
-    // (docs/BENCHMARKS.md).
-    "obs_check",
-    "serve_bench",
-    "configs_per_sec",
-    "serve_fleet",
-    "clients",
-    "submitted",
-    "errors",
-    "p50_us",
-    "p99_us",
-    "serve_restart",
-    "cold_us",
-    "warm_us",
-    "restart_us",
     // Store file-format fields (docs/STORE.md).
     "store_schema_version",
     "checksum",

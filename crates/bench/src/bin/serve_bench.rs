@@ -14,35 +14,32 @@
 //! fleet — roughly half idle connection holders, a quarter slow-loris
 //! writers that trickle a well-formed request byte by chunk, and a
 //! quarter pipelined submitters — with SplitMix64-seeded think times,
-//! then merges `{clients, submitted, errors, p50_us, p99_us}` into the
-//! snapshot as the `serve_fleet` section (field reference in
-//! `docs/BENCHMARKS.md`; `obs_check` gates the committed numbers). Every
-//! well-formed request must complete: `errors` other than zero fails
-//! the run.
+//! and prints `clients`, `submitted`, `errors` and the p50/p99 submit
+//! latency. Every well-formed request must complete: `errors` other
+//! than zero fails the run.
 //!
 //! **Restart mode** measures what the persistent profile store
 //! (`--store-dir`, `docs/STORE.md`) buys across a daemon restart: one
 //! daemon pays the cold build and warm cache hits, then fresh daemons
 //! sharing the same store directory serve their first request off a
-//! store decode instead of a re-profile. Merges
-//! `{cold_us, warm_us, restart_us}` into the snapshot as the
-//! `serve_restart` section; `obs_check` gates `restart_us` at 1.1×
-//! `warm_us` in the committed file.
+//! store decode instead of a re-profile. It prints the cold, warm and
+//! restart latencies and fails unless the restart takes less than
+//! `RESTART_WARM_BOUND` (1.5) times the warm latency.
+//!
+//! Neither mode writes a file; `ci.sh` judges both on their exit status.
 //!
 //! ```console
 //! $ cargo run --release -p aceso-bench --bin serve_bench [model] [gpus]
-//! $ cargo run --release -p aceso-bench --bin serve_bench fleet [clients] [out.json]
-//! $ cargo run --release -p aceso-bench --bin serve_bench restart [out.json]
+//! $ cargo run --release -p aceso-bench --bin serve_bench fleet [clients]
+//! $ cargo run --release -p aceso-bench --bin serve_bench restart
 //! ```
 
-use aceso_bench::harness::{bench_search_path, merge_bench_section};
 use aceso_serve::{read_frame, shutdown, submit, submit_pipelined, Request, ServeOptions, Server};
-use aceso_util::json::{obj, ToJson, Value};
+use aceso_util::json::ToJson;
 use aceso_util::table::Table;
 use aceso_util::SplitMix64;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -55,19 +52,9 @@ fn main() {
                 .next()
                 .map(|s| s.parse().expect("clients parses"))
                 .unwrap_or(512);
-            let out = args
-                .next()
-                .map(PathBuf::from)
-                .unwrap_or_else(bench_search_path);
-            run_fleet(clients, &out);
+            run_fleet(clients);
         }
-        Some("restart") => {
-            let out = args
-                .next()
-                .map(PathBuf::from)
-                .unwrap_or_else(bench_search_path);
-            run_restart(&out);
-        }
+        Some("restart") => run_restart(),
         model => run_latency(
             model.unwrap_or("gpt3-2.6b").to_string(),
             std::env::args()
@@ -91,9 +78,9 @@ fn fleet_request(id: Option<String>) -> Request {
     }
 }
 
-/// Drives `clients` mixed clients at an in-process daemon and merges
-/// the percentile summary into `out` as `serve_fleet`.
-fn run_fleet(clients: usize, out: &std::path::Path) {
+/// Drives `clients` mixed clients at an in-process daemon and prints
+/// the percentile summary.
+fn run_fleet(clients: usize) {
     let server = Server::bind("127.0.0.1:0", ServeOptions::default()).expect("binds");
     let addr = server.local_addr().to_string();
     let daemon = std::thread::spawn(move || server.run());
@@ -249,17 +236,6 @@ fn run_fleet(clients: usize, out: &std::path::Path) {
         format!("{wall:.2?}"),
     ]);
     print!("{}", table.render());
-    merge_bench_section(
-        out,
-        "serve_fleet",
-        obj([
-            ("clients", Value::UInt(clients as u64)),
-            ("submitted", Value::UInt(submitted)),
-            ("errors", Value::UInt(errors)),
-            ("p50_us", Value::UInt(p50)),
-            ("p99_us", Value::UInt(p99)),
-        ]),
-    );
     assert_eq!(errors, 0, "every well-formed fleet request must complete");
 }
 
@@ -268,15 +244,21 @@ fn run_fleet(clients: usize, out: &std::path::Path) {
 /// either side would make it spurious.
 const RESTART_SAMPLES: usize = 3;
 
+/// Restart mode fails unless `restart_us < RESTART_WARM_BOUND * warm_us`.
+/// On a 2-vCPU host live restart/warm ratios spread from about 0.8 to
+/// 1.3 run to run, so the bound sits above that spread while still
+/// catching a restart that re-profiles instead of decoding the store.
+const RESTART_WARM_BOUND: f64 = 1.5;
+
 /// Measures the store-backed restart path: cold build, warm in-memory
 /// cache hits, then fresh daemons whose first request is served off the
 /// shared `--store-dir` (cache empty, store warm). The store converts
 /// the restart's cache miss into a decode, not a re-profile, so
-/// `restart_us` lands within a whisker of `warm_us` — `obs_check` holds
-/// the committed figures to 1.1×. (The cold figure is context, not a
-/// gate: profiling is analytic and the end-to-end time is search-
-/// dominated, so cold and warm differ by the profile phase only.)
-fn run_restart(out: &std::path::Path) {
+/// `restart_us` stays below `RESTART_WARM_BOUND` × `warm_us`. (The
+/// cold figure is context, not a gate: profiling is analytic and the
+/// end-to-end time is search-dominated, so cold and warm differ by the
+/// profile phase only.)
+fn run_restart() {
     let store = std::env::temp_dir().join(format!("aceso-restart-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
     // A model whose profile build is a visible share of the request, so
@@ -341,20 +323,8 @@ fn run_restart(out: &std::path::Path) {
         format!("{:.2}x", restart_us as f64 / warm_us.max(1) as f64),
     ]);
     print!("{}", table.render());
-    merge_bench_section(
-        out,
-        "serve_restart",
-        obj([
-            ("cold_us", Value::UInt(cold_us)),
-            ("warm_us", Value::UInt(warm_us)),
-            ("restart_us", Value::UInt(restart_us)),
-        ]),
-    );
-    // Loose smoke bound for fresh runs (ci.sh runs this binary on a
-    // possibly loaded machine); the tight 1.1x gate applies to the
-    // committed figures via `obs_check`.
     assert!(
-        (restart_us as f64) < 1.5 * warm_us as f64,
+        (restart_us as f64) < RESTART_WARM_BOUND * warm_us as f64,
         "a store-backed restart must stay in the warm-hit envelope \
          (restart {restart_us} µs vs warm {warm_us} µs)"
     );

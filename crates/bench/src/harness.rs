@@ -15,7 +15,6 @@ use aceso_cluster::ClusterSpec;
 use aceso_config::ParallelConfig;
 use aceso_core::{AcesoSearch, SearchOptions, SearchResult};
 use aceso_model::ModelGraph;
-use aceso_obs::ObsReport;
 use aceso_profile::ProfileDb;
 use aceso_runtime::{SimReport, Simulator};
 use aceso_util::json::{obj, FromJson, JsonError, ToJson, Value};
@@ -55,15 +54,6 @@ impl ExpEnv {
     /// Runs the Aceso search with the scale-appropriate budget.
     pub fn run_aceso(&self, opts: SearchOptions) -> Result<SearchResult, aceso_core::SearchError> {
         AcesoSearch::new(&self.model, &self.cluster, &self.db, opts).run()
-    }
-
-    /// Runs the Aceso search with observability on, returning the metric
-    /// report alongside the result.
-    pub fn run_aceso_observed(
-        &self,
-        opts: SearchOptions,
-    ) -> Result<(SearchResult, ObsReport), aceso_core::SearchError> {
-        AcesoSearch::new(&self.model, &self.cluster, &self.db, opts).run_observed(true)
     }
 
     /// Runs the Megatron-LM grid search.
@@ -140,90 +130,6 @@ pub fn results_dir() -> PathBuf {
 pub fn write_csv(name: &str, table: &aceso_util::table::Table) {
     let path = results_dir().join(name);
     std::fs::write(&path, table.to_csv()).expect("csv writes");
-    println!("[saved {}]", path.display());
-}
-
-/// Writes the `BENCH_search.json` perf-trajectory snapshot at the
-/// workspace root: the search's headline numbers plus the full
-/// observability metric snapshot (`docs/OBSERVABILITY.md` schema). One
-/// file per checkout, overwritten on each run, so the trajectory is the
-/// file's git history. `search_threads` records the resolved frontier
-/// worker count the run used (`SearchOptions::resolved_threads`), so a
-/// snapshot taken on a multicore box is never mistaken for a serial
-/// baseline (field reference in `docs/BENCHMARKS.md`).
-pub fn write_bench_search(
-    result: &SearchResult,
-    report: &ObsReport,
-    search_threads: usize,
-) -> PathBuf {
-    let path = bench_search_path();
-    // Sections owned by other harnesses survive the overwrite: the
-    // `serve_fleet` fan-in numbers come from `serve_bench fleet` and the
-    // `serve_restart` store figures from `serve_bench restart`, not from
-    // the search run this function snapshots.
-    let carried: Vec<(String, Value)> = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|t| Value::parse(&t).ok())
-        .map(|doc| {
-            ["serve_fleet", "serve_restart"]
-                .iter()
-                .filter_map(|k| doc.field(k).ok().map(|v| (k.to_string(), v.clone())))
-                .collect()
-        })
-        .unwrap_or_default();
-    let mut doc = obj([
-        ("best_time", Value::Float(result.best_time)),
-        ("explored", Value::UInt(result.explored as u64)),
-        ("search_threads", Value::UInt(search_threads as u64)),
-        (
-            "wall_time_secs",
-            Value::Float(result.wall_time.as_secs_f64()),
-        ),
-        (
-            "configs_per_sec",
-            Value::Float(result.explored as f64 / result.wall_time.as_secs_f64().max(1e-9)),
-        ),
-        (
-            "metrics",
-            Value::parse(&report.metrics_json()).expect("own snapshot parses"),
-        ),
-    ]);
-    if let Value::Object(fields) = &mut doc {
-        fields.extend(carried);
-    }
-    let mut text = doc.to_string_pretty();
-    text.push('\n');
-    std::fs::write(&path, text).expect("BENCH_search.json writes");
-    println!("[saved {}]", path.display());
-    path
-}
-
-/// The workspace-root `BENCH_search.json` path.
-pub fn bench_search_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_search.json")
-}
-
-/// Replaces one named top-level section of a bench snapshot in place,
-/// preserving every other field (and creating the file with only that
-/// section when it does not exist yet). `serve_bench fleet` uses this to
-/// record its fan-in percentiles beside the search trajectory that
-/// [`write_bench_search`] owns.
-pub fn merge_bench_section(path: &std::path::Path, key: &str, section: Value) {
-    let mut fields = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| Value::parse(&t).ok())
-        .and_then(|doc| match doc {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        })
-        .unwrap_or_default();
-    fields.retain(|(k, _)| k != key);
-    fields.push((key.to_string(), section));
-    let mut text = Value::Object(fields).to_string_pretty();
-    text.push('\n');
-    std::fs::write(path, text).expect("bench snapshot writes");
     println!("[saved {}]", path.display());
 }
 
@@ -337,7 +243,6 @@ mod tests {
         let r = env
             .run_aceso(SearchOptions {
                 max_iterations: 4,
-                parallel: false,
                 ..SearchOptions::default()
             })
             .expect("search runs");
@@ -355,28 +260,5 @@ mod tests {
     fn results_roundtrip() {
         let dir = results_dir();
         assert!(dir.exists());
-    }
-
-    #[test]
-    fn merge_bench_section_preserves_unrelated_fields() {
-        use aceso_util::json::obj;
-        let path = std::env::temp_dir().join(format!("aceso-merge-{}.json", std::process::id()));
-        std::fs::write(
-            &path,
-            "{\n  \"best_time\": 1.5,\n  \"serve_fleet\": {\"clients\": 1}\n}\n",
-        )
-        .unwrap();
-        merge_bench_section(&path, "serve_fleet", obj([("clients", Value::UInt(512))]));
-        let doc = Value::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        // The unrelated field survives; the section is replaced, not
-        // appended beside its stale copy.
-        assert_eq!(doc.field("best_time").unwrap().as_f64().unwrap(), 1.5);
-        let fleet = doc.field("serve_fleet").unwrap();
-        assert_eq!(fleet.field("clients").unwrap().as_u64().unwrap(), 512);
-        let Value::Object(fields) = &doc else {
-            panic!("object doc")
-        };
-        assert_eq!(fields.iter().filter(|(k, _)| k == "serve_fleet").count(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -75,12 +75,11 @@ pub fn cluster_fingerprint(cluster: &ClusterSpec) -> u64 {
 }
 
 /// Stable fingerprint of every [`SearchOptions`] field that affects the
-/// deterministic result. `time_budget`, `parallel`, and
-/// `search_threads` are deliberately excluded: none of them changes
-/// what an unexpired search computes (frontier results are bit-identical
-/// at every worker count), a resumed search must be allowed a fresh
-/// wall-clock budget, and a checkpoint taken at one worker count must
-/// resume cleanly at another.
+/// deterministic result. `time_budget` and `search_threads` are
+/// deliberately excluded: neither changes what an unexpired search
+/// computes (frontier results are bit-identical at every worker count),
+/// a resumed search must be allowed a fresh wall-clock budget, and a
+/// checkpoint taken at one worker count must resume cleanly at another.
 pub fn options_fingerprint(o: &SearchOptions) -> u64 {
     let mut h = FnvHasher::new();
     h.write_usize(o.max_hops);
@@ -829,7 +828,6 @@ mod tests {
         // Wall-clock budget and threading do not.
         let budgeted = SearchOptions {
             time_budget: Some(std::time::Duration::from_secs(1)),
-            parallel: false,
             ..SearchOptions::default()
         };
         assert_eq!(same, options_fingerprint(&budgeted));

@@ -34,7 +34,8 @@ pub struct SearchOptions {
     /// Optional wall-clock budget shared by all stage counts (the paper
     /// uses 200 s); `None` = iterations only.
     pub time_budget: Option<Duration>,
-    /// Pipeline stage counts to search (in parallel); `None` = automatic.
+    /// Pipeline stage counts to search, one thread each when there is
+    /// more than one; `None` = automatic.
     pub stage_counts: Option<Vec<usize>>,
     /// How many best configurations to return (paper keeps the top 5 and
     /// picks the best in real execution).
@@ -46,8 +47,6 @@ pub struct SearchOptions {
     pub use_heuristic2: bool,
     /// RNG seed (only consumed when `use_heuristic2` is off).
     pub seed: u64,
-    /// Search stage counts on parallel threads.
-    pub parallel: bool,
     /// Backtracking breadth per hop (candidates recursed into).
     pub branch_limit: usize,
     /// Secondary bottlenecks attempted per iteration.
@@ -80,7 +79,6 @@ impl Default for SearchOptions {
             fine_tune: true,
             use_heuristic2: true,
             seed: 0x000A_CE50,
-            parallel: true,
             branch_limit: 3,
             max_bottlenecks: 3,
             gen_options: GenOptions::default(),
@@ -407,7 +405,7 @@ impl<'a> AcesoSearch<'a> {
         // so it is deliberately *not* checkpointed (a cold memo on resume
         // recomputes identical values and touches no counter).
         let p2p = P2pMemo::new();
-        if self.options.parallel && counts.len() > 1 {
+        if counts.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = counts
                     .iter()
@@ -1225,7 +1223,6 @@ mod tests {
     fn opts() -> SearchOptions {
         SearchOptions {
             max_iterations: 12,
-            parallel: false,
             ..SearchOptions::default()
         }
     }
@@ -1259,26 +1256,43 @@ mod tests {
         assert_eq!(a.explored, b.explored);
     }
 
+    /// Stage counts are independent sub-searches: each count's trace in
+    /// the multi-count run (one thread per count) equals a run of that
+    /// count alone, and the multi-count best is the best single count.
     #[test]
     fn parallel_matches_sequential() {
         let (m, c) = setup();
         let db = ProfileDb::build(&m, &c);
-        let seq = AcesoSearch::new(&m, &c, &db, opts()).run().expect("seq");
-        let par = AcesoSearch::new(
-            &m,
-            &c,
-            &db,
-            SearchOptions {
-                parallel: true,
-                ..opts()
-            },
-        )
-        .run()
-        .expect("par");
-        assert_eq!(
-            seq.best_config.semantic_hash(),
-            par.best_config.semantic_hash()
-        );
+        let multi = AcesoSearch::new(&m, &c, &db, opts()).run().expect("multi");
+        assert!(multi.traces.len() > 1, "setup must search several counts");
+        let fingerprints =
+            |t: &SearchTrace| -> Vec<u64> { t.accepted.iter().map(|a| a.fingerprint).collect() };
+        let mut best = f64::INFINITY;
+        for trace in &multi.traces {
+            let p = trace.stage_count;
+            let single = AcesoSearch::new(
+                &m,
+                &c,
+                &db,
+                SearchOptions {
+                    stage_counts: Some(vec![p]),
+                    ..opts()
+                },
+            )
+            .run()
+            .expect("single");
+            let [alone] = single.traces.as_slice() else {
+                panic!("stage count {p}: expected one trace");
+            };
+            assert_eq!(alone.explored, trace.explored, "stage count {p}: explored");
+            assert_eq!(
+                fingerprints(alone),
+                fingerprints(trace),
+                "stage count {p}: accepted fingerprints"
+            );
+            best = best.min(single.best_time);
+        }
+        assert_eq!(multi.best_time.to_bits(), best.to_bits());
     }
 
     #[test]
@@ -1454,7 +1468,6 @@ mod tests {
             SearchOptions {
                 max_iterations: 100_000,
                 time_budget: Some(Duration::from_millis(300)),
-                parallel: false,
                 ..SearchOptions::default()
             },
         )

@@ -13,7 +13,6 @@ fn small_gpt() -> ModelGraph {
 fn quick_opts() -> SearchOptions {
     SearchOptions {
         max_iterations: 16,
-        parallel: false,
         ..SearchOptions::default()
     }
 }
@@ -137,7 +136,6 @@ fn deep_model_search_succeeds_where_alpa_fails() {
         &db,
         SearchOptions {
             max_iterations: 6,
-            parallel: false,
             stage_counts: Some(vec![4]),
             ..SearchOptions::default()
         },

@@ -17,7 +17,6 @@ fn zero_extension_helps_memory_tight_search() {
     let db = ProfileDb::build(&model, &cluster);
     let base = SearchOptions {
         max_iterations: 12,
-        parallel: false,
         stage_counts: Some(vec![2]),
         ..SearchOptions::default()
     };
@@ -67,7 +66,6 @@ fn plan_and_timeline_roundtrip_for_searched_config() {
         &db,
         SearchOptions {
             max_iterations: 8,
-            parallel: false,
             stage_counts: Some(vec![2]),
             ..SearchOptions::default()
         },
@@ -135,7 +133,6 @@ fn parallel_profiling_supports_search_identically() {
     let parallel = ProfileDb::build_parallel(&model, &cluster, 4);
     let opts = SearchOptions {
         max_iterations: 8,
-        parallel: false,
         stage_counts: Some(vec![2]),
         ..SearchOptions::default()
     };

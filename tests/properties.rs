@@ -255,7 +255,6 @@ fn search_never_returns_worse_than_init() {
             &db,
             SearchOptions {
                 max_iterations: 4,
-                parallel: false,
                 stage_counts: Some(vec![2]),
                 use_heuristic2: seed % 2 == 0,
                 seed,

@@ -9,7 +9,6 @@ use aceso::search::SearchOptions;
 fn opts(iters: usize) -> SearchOptions {
     SearchOptions {
         max_iterations: iters,
-        parallel: false,
         ..SearchOptions::default()
     }
 }

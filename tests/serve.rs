@@ -1016,8 +1016,8 @@ fn reactor_pipeline_depth_rejects_excess_without_closing() {
 
 /// Fleet smoke: 64 concurrent mixed connections — idle holders plus
 /// single-shot submitters — against one reactor daemon, zero errors.
-/// (`serve_bench fleet` scales the same shape to 512+ clients with
-/// latency percentiles; `obs_check` gates the committed numbers.)
+/// (`serve_bench fleet` scales the same shape to 512 clients with
+/// latency percentiles and fails on any errored request.)
 #[test]
 fn reactor_fleet_smoke_sixty_four_clients() {
     let (addr, handle) = start(ServeOptions::default());

@@ -178,7 +178,7 @@ fn doc_references_its_enforcement_surface() {
         "reactor_counts_fairness_deferrals_and_pipelined_requests",
         "busy_rejections_back_off_on_the_short_clock",
         "serve_bench fleet",
-        "serve_fleet",
+        "reactor_fleet_smoke_sixty_four_clients",
         "NONDETERMINISTIC_COUNTERS",
         "FrameDecoder",
         "submit_pipelined",

@@ -176,7 +176,7 @@ fn doc_references_its_enforcement_surface() {
         "store_precision_mismatch_is_rejected_not_merged",
         "no_counter_is_silently_dead",
         "serve_bench restart",
-        "obs_check",
+        "RESTART_WARM_BOUND",
         "aceso_util::retention",
     ] {
         assert!(
