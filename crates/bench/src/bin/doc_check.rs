@@ -4,8 +4,9 @@
 //! any `docs/*.md`, `README.md`, or `results/README.md` mentions:
 //!
 //! * a `--flag` the `aceso` binary does not advertise in its usage text
-//!   ([`aceso::cli::USAGE`]) — external-tool flags (cargo's) are
-//!   allowlisted;
+//!   ([`aceso::cli::USAGE`]) — cargo's flags are allowlisted, and
+//!   command lines that run the benchmark (`--manifest-path perfbench/`)
+//!   are skipped, since perfbench has flags of its own;
 //! * a backticked `snake_case` token in a markdown table row that is not
 //!   a registered counter, event kind, event field, or histogram
 //!   ([`aceso::obs::schema`]) — structural/wire field names are
@@ -26,9 +27,8 @@ use aceso::obs::SCHEMA_VERSION;
 use aceso::search::CHECKPOINT_SCHEMA_VERSION;
 use aceso::store::STORE_SCHEMA_VERSION;
 
-/// Flags that belong to external tools (cargo, and the `perfbench`
-/// benchmark binary) which the docs may legitimately mention without
-/// the `aceso` binary advertising them.
+/// Cargo's flags, which the docs may legitimately mention without the
+/// `aceso` binary advertising them.
 const EXTERNAL_FLAGS: &[&str] = &[
     "--release",
     "--bin",
@@ -39,10 +39,11 @@ const EXTERNAL_FLAGS: &[&str] = &[
     "--all-targets",
     "--offline",
     "--manifest-path",
-    // perfbench's own flags (docs/BENCHMARKS.md).
-    "--workload",
-    "--seconds",
 ];
+
+/// Marks a command line that runs the benchmark binary, whose flags are
+/// perfbench's own rather than `aceso`'s.
+const PERFBENCH_COMMAND: &str = "--manifest-path perfbench/";
 
 /// Backticked snake_case tokens that appear in doc table rows but name
 /// wire-protocol fields, JSON structure, or keyed metric families rather
@@ -173,6 +174,18 @@ fn flag_tokens(text: &str) -> Vec<String> {
     out
 }
 
+/// Flags in `text` that neither `aceso` nor cargo advertises. A shell
+/// command continued with a trailing `\` counts as one line; a line that
+/// runs perfbench is skipped.
+fn unknown_flags(text: &str) -> Vec<String> {
+    text.replace("\\\n", " ")
+        .lines()
+        .filter(|line| !line.contains(PERFBENCH_COMMAND))
+        .flat_map(flag_tokens)
+        .filter(|flag| !USAGE.contains(flag.as_str()) && !EXTERNAL_FLAGS.contains(&flag.as_str()))
+        .collect()
+}
+
 /// Backticked snake_case tokens in markdown table rows (lines starting
 /// with `|`).
 fn table_row_tokens(text: &str) -> Vec<String> {
@@ -218,14 +231,11 @@ fn check_file(path: &std::path::Path, failures: &mut Vec<String>) {
     let in_docs = path.parent().is_some_and(|p| p.ends_with("docs"));
 
     // 1. Every mentioned flag must exist.
-    for flag in flag_tokens(&text) {
-        let known = USAGE.contains(&flag) || EXTERNAL_FLAGS.contains(&flag.as_str());
-        if !known {
-            failures.push(format!(
-                "{name}: flag `{flag}` is not advertised by the aceso binary \
-                 (aceso::cli::USAGE) and is not an allowlisted external flag"
-            ));
-        }
+    for flag in unknown_flags(&text) {
+        failures.push(format!(
+            "{name}: flag `{flag}` is not advertised by the aceso binary \
+             (aceso::cli::USAGE) and is not an allowlisted external flag"
+        ));
     }
 
     // 2. Table-row schema tokens must be registered (docs/ only — README
@@ -293,4 +303,24 @@ fn main() {
          schema versions vs code)",
         paths.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unknown_flags;
+
+    #[test]
+    fn perfbench_flags_pass_only_on_perfbench_command_lines() {
+        let doc = "$ cargo run --release --manifest-path perfbench/Cargo.toml -- \\\n      \
+                   --workload search-wide --seconds 30\n";
+        assert!(unknown_flags(doc).is_empty());
+        assert_eq!(
+            unknown_flags("$ aceso search --model gpt3-0.35b --seconds 3\n"),
+            ["--seconds"]
+        );
+        assert_eq!(
+            unknown_flags("$ aceso search \\\n    --workload search-wide\n"),
+            ["--workload"]
+        );
+    }
 }
