@@ -60,7 +60,7 @@ cargo run --release --quiet --bin aceso -- audit --full \
     --json results/audit-report.json --metrics-out results/audit-metrics.json
 
 echo "==> audit mutation gates: every seeded bug injection must be caught"
-for MUT in mem-bound reorder-frame swap-lock-pair; do
+for MUT in mem-bound reorder-frame swap-lock-pair stale-fingerprint; do
     MUT_TMP=$(mktemp)
     if cargo run --release --quiet --bin aceso -- audit --smoke \
         --mutate "$MUT" --json "$MUT_TMP" >/dev/null 2>&1; then

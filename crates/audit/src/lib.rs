@@ -8,8 +8,8 @@
 //!    observed effect on (compute, communication, memory) respects its
 //!    declared Table-1 arrows.
 //! 2. **Transform validity** ([`transforms`]): every `generate_with`
-//!    candidate passes full validation, conserves GPUs, and is a real,
-//!    unique move.
+//!    candidate passes full validation, conserves GPUs, is a real,
+//!    unique move, and carries its own semantic hash as fingerprint.
 //! 3. **Perf-model consistency** ([`perf_check`]): stage-local estimates
 //!    reassemble into the full estimate; all Eq. 1/Eq. 2 roll-up
 //!    identities hold.
@@ -62,14 +62,18 @@ pub enum Mutation {
     /// A private lock pair is acquired in both orders (caught by
     /// `LOCK-CYCLE`).
     SwapLockPair,
+    /// A generated candidate has a recompute flag flipped while its
+    /// fingerprint stays as generated (caught by `XFORM-FINGERPRINT`).
+    StaleFingerprint,
 }
 
 impl Mutation {
     /// Every defined mutation.
-    pub const ALL: [Mutation; 3] = [
+    pub const ALL: [Mutation; 4] = [
         Mutation::MemBound,
         Mutation::ReorderFrame,
         Mutation::SwapLockPair,
+        Mutation::StaleFingerprint,
     ];
 
     /// Stable CLI name.
@@ -78,6 +82,7 @@ impl Mutation {
             Mutation::MemBound => "mem-bound",
             Mutation::ReorderFrame => "reorder-frame",
             Mutation::SwapLockPair => "swap-lock-pair",
+            Mutation::StaleFingerprint => "stale-fingerprint",
         }
     }
 
@@ -92,6 +97,7 @@ impl Mutation {
             Mutation::MemBound => "PLAN-EQ1",
             Mutation::ReorderFrame => "PROTO-FRAME",
             Mutation::SwapLockPair => "LOCK-CYCLE",
+            Mutation::StaleFingerprint => "XFORM-FINGERPRINT",
         }
     }
 }
@@ -128,7 +134,7 @@ pub fn audit_sample(sample: &CorpusSample, opts: &AuditOptions, report: &mut Aud
     report.samples += 1;
     report.configs_checked += sample.configs.len();
     signature::audit_signatures(sample, opts.epsilon, report);
-    transforms::audit_transforms(sample, report);
+    transforms::audit_transforms(sample, opts.mutation, report);
     perf_check::audit_perf_model(sample, opts.epsilon, report);
     trace_replay::audit_search(sample, opts.smoke, opts.epsilon, report);
     if opts.full || opts.smoke {

@@ -4,23 +4,35 @@
 //! combination feature enabled (relay moves, attached recompute fix-up,
 //! ZeRO extension) — must pass full validation, conserve the GPU total,
 //! report at least one applied primitive, actually differ from its input,
-//! and be unique within its generation batch.
+//! be unique within its generation batch, and carry a fingerprint equal to
+//! its configuration's semantic hash (the search dedups on that field
+//! without re-hashing).
 
 use crate::corpus::CorpusSample;
 use crate::report::{AuditFinding, AuditReport, Severity};
+use crate::Mutation;
 use aceso_core::primitives::{generate_with, GenOptions};
 use aceso_core::{Primitive, Resource};
 use aceso_perf::PerfModel;
 use std::collections::HashSet;
 
 /// Runs the transform-validity analyzer over one corpus sample.
-pub fn audit_transforms(sample: &CorpusSample, report: &mut AuditReport) {
+///
+/// With [`Mutation::StaleFingerprint`] the sample's first candidate gets
+/// one recompute flag flipped after generation while its fingerprint is
+/// left as generated — the mutation gate for `XFORM-FINGERPRINT`.
+pub fn audit_transforms(
+    sample: &CorpusSample,
+    mutation: Option<Mutation>,
+    report: &mut AuditReport,
+) {
     let pm = PerfModel::new(&sample.model, &sample.cluster, &sample.db);
     let opts = GenOptions {
         attach_rc: true,
         relay_moves: true,
         enable_zero: true,
     };
+    let mut stale_pending = mutation == Some(Mutation::StaleFingerprint);
     for (ci, config) in sample.configs.iter().enumerate() {
         let est = pm.evaluate_unchecked(config);
         let input_hash = config.semantic_hash();
@@ -29,7 +41,12 @@ pub fn audit_transforms(sample: &CorpusSample, report: &mut AuditReport) {
             for resource in Resource::ALL {
                 for prim in Primitive::EXTENDED {
                     let mut seen: HashSet<u64> = HashSet::new();
-                    for cand in generate_with(&pm, config, &est, prim, stage, resource, opts) {
+                    for mut cand in generate_with(&pm, config, &est, prim, stage, resource, opts) {
+                        if stale_pending {
+                            let op = &mut cand.config.stages[0].ops[0];
+                            op.recompute = !op.recompute;
+                            stale_pending = false;
+                        }
                         let loc = format!(
                             "{}#cfg{} stage {} {} for {:?}",
                             sample.label,
@@ -39,7 +56,19 @@ pub fn audit_transforms(sample: &CorpusSample, report: &mut AuditReport) {
                             resource
                         );
                         let h = cand.config.semantic_hash();
-                        report.tick(5);
+                        report.tick(6);
+                        if cand.fingerprint != h {
+                            report.push(AuditFinding {
+                                rule: "XFORM-FINGERPRINT",
+                                severity: Severity::Error,
+                                location: loc.clone(),
+                                message: format!(
+                                    "candidate carries fingerprint {:#018x}, its configuration hashes to {h:#018x}",
+                                    cand.fingerprint
+                                ),
+                                fingerprint: h,
+                            });
+                        }
                         if cand.config.total_gpus() != input_gpus {
                             report.push(AuditFinding {
                                 rule: "XFORM-GPUS",

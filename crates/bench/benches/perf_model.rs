@@ -56,4 +56,21 @@ fn main() {
     bench("semantic_hash_324ops", 10_000, || {
         black_box(&cfg).semantic_hash()
     });
+
+    // The search-deep workload's model: per-candidate hashing cost grows
+    // with its 2,052 ops. Flagging every 25th op for recompute gives about
+    // 160 settings runs, the shape of a configuration deep into a search.
+    let model = aceso_model::zoo::deepnet(256);
+    let cluster = ClusterSpec::v100_gpus(8);
+    let mut cfg = balanced_init(&model, &cluster, 4).expect("init");
+    for op in cfg
+        .stages
+        .iter_mut()
+        .flat_map(|s| s.ops.iter_mut().step_by(25))
+    {
+        op.recompute = true;
+    }
+    bench("semantic_hash_2052ops", 10_000, || {
+        black_box(&cfg).semantic_hash()
+    });
 }

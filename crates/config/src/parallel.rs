@@ -75,6 +75,22 @@ impl StageConfig {
         self.ops.iter().filter(|o| o.recompute).count()
     }
 
+    /// Feeds the per-op settings to `h`, run-length encoded so the hash
+    /// cost stays proportional to the number of *distinct* settings runs.
+    /// Shared by [`ParallelConfig::semantic_hash`] and the evaluator's
+    /// per-stage memo key.
+    pub fn hash_settings(&self, h: &mut FnvHasher) {
+        for run in self.ops.chunk_by(|a, b| a == b) {
+            let o = run[0];
+            h.write_usize(run.len());
+            h.write_u64(u64::from(o.tp));
+            h.write_u64(u64::from(o.dp));
+            h.write_u64(u64::from(o.dim_index));
+            h.write_bool(o.recompute);
+            h.write_bool(o.zero);
+        }
+    }
+
     /// Settings of the operator with *global* index `op`, if it lies in
     /// this stage.
     pub fn op_parallel(&self, op: usize) -> Option<&OpParallel> {
@@ -142,23 +158,7 @@ impl ParallelConfig {
             h.write_usize(s.op_start);
             h.write_usize(s.op_end);
             h.write_usize(s.gpus);
-            // Run-length encode per-op settings so the hash cost stays
-            // proportional to the number of *distinct* settings runs.
-            let mut i = 0;
-            while i < s.ops.len() {
-                let o = s.ops[i];
-                let mut run = 1;
-                while i + run < s.ops.len() && s.ops[i + run] == o {
-                    run += 1;
-                }
-                h.write_usize(run);
-                h.write_u64(u64::from(o.tp));
-                h.write_u64(u64::from(o.dp));
-                h.write_u64(u64::from(o.dim_index));
-                h.write_bool(o.recompute);
-                h.write_bool(o.zero);
-                i += run;
-            }
+            s.hash_settings(&mut h);
         }
         h.finish()
     }
@@ -291,6 +291,31 @@ mod tests {
         e.stages[0].ops[1].tp = 2;
         e.stages[0].ops[1].dp = 2;
         assert_ne!(a.semantic_hash(), e.semantic_hash());
+    }
+
+    #[test]
+    fn semantic_hash_is_pinned() {
+        // Fingerprints live in goldens, event streams, checkpoints and
+        // stores: the value itself must never drift, not just stay
+        // deterministic. Mixed runs and a multi-byte op range exercise
+        // every width `FnvHasher::write_u64` handles.
+        let mut c = ParallelConfig {
+            stages: vec![
+                StageConfig::uniform(0, 300, OpParallel::data_parallel(4)),
+                StageConfig::uniform(300, 70_000, OpParallel::data_parallel(4)),
+            ],
+            microbatch: 8,
+        };
+        c.stages[0].ops[7].recompute = true;
+        c.stages[0].ops[9].zero = true;
+        c.stages[1].ops[0] = OpParallel {
+            tp: 2,
+            dp: 2,
+            dim_index: 1,
+            recompute: false,
+            zero: false,
+        };
+        assert_eq!(c.semantic_hash(), 0x40F1_ED26_CBE2_D1BE);
     }
 
     #[test]

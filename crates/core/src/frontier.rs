@@ -129,10 +129,8 @@ pub(crate) enum CandEval {
     },
     /// The worker evaluated the candidate speculatively.
     Done {
-        /// The generated candidate (config + provenance).
+        /// The generated candidate (config, provenance, fingerprint).
         cand: Candidate,
-        /// Its semantic hash, computed worker-side.
-        hash: u64,
         /// The worker's estimate (bit-identical to what the canonical
         /// evaluator would compute — evaluation is a pure function).
         est: ConfigEstimate,
@@ -172,17 +170,13 @@ pub(crate) fn run_wave_task(
     let cands = cands
         .into_iter()
         .map(|cand| {
-            let hash = cand.config.semantic_hash();
-            if visited.contains(hash) {
-                CandEval::Skipped { hash }
+            if visited.contains(cand.fingerprint) {
+                CandEval::Skipped {
+                    hash: cand.fingerprint,
+                }
             } else {
                 let (est, trace) = ev.evaluate_traced(&cand.config);
-                CandEval::Done {
-                    cand,
-                    hash,
-                    est,
-                    trace,
-                }
+                CandEval::Done { cand, est, trace }
             }
         })
         .collect();

@@ -25,6 +25,22 @@ pub fn assert_valid(model: &ModelGraph, cluster: &ClusterSpec, config: &Parallel
 #[inline(always)]
 pub fn assert_valid(_: &ModelGraph, _: &ClusterSpec, _: &ParallelConfig, _: &str) {}
 
+/// Panics unless a generated candidate's carried `fingerprint` is its
+/// configuration's semantic hash — the value the search deduplicates on.
+#[cfg(feature = "debug-invariants")]
+pub fn assert_fingerprint(config: &ParallelConfig, fingerprint: u64, ctx: &str) {
+    assert_eq!(
+        config.semantic_hash(),
+        fingerprint,
+        "debug-invariants[{ctx}]: candidate fingerprint is stale"
+    );
+}
+
+/// No-op stub (feature off).
+#[cfg(not(feature = "debug-invariants"))]
+#[inline(always)]
+pub fn assert_fingerprint(_: &ParallelConfig, _: u64, _: &str) {}
+
 /// Panics unless `config` keeps the cluster-independent structural
 /// invariants every transform must preserve: stage op ranges partition the
 /// model, `tp·dp` matches each stage's GPU count, degrees stay powers of

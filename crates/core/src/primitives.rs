@@ -234,6 +234,9 @@ pub struct Candidate {
     /// (relay moves chain several op moves; the attached recompute fix-up
     /// adds one more) — the unit the paper's hop counts are measured in.
     pub primitives_applied: usize,
+    /// `config.semantic_hash()`, computed once at generation; the batch
+    /// dedup here and the search's visited set both read it.
+    pub fingerprint: u64,
 }
 
 /// Ranks partner stages by how much of the bottleneck's scarce resource
@@ -292,9 +295,56 @@ pub fn generate_with<E: Evaluator>(
     resource: Resource,
     gen_opts: GenOptions,
 ) -> Vec<Candidate> {
+    let moves = primitive_moves(pm, config, est, prim, stage, resource, gen_opts);
+
+    // §4.3: attach a recompute fix-up to every candidate so memory shifts
+    // caused by the primitive do not leave a stage needlessly OOM or
+    // needlessly recomputing. The fix-up counts as one more applied
+    // primitive when it changes the configuration.
+    let fixed = moves.into_iter().map(|(c, hops)| {
+        if gen_opts.attach_rc {
+            let (fixed, changed) = fixup_recompute(pm, c);
+            (fixed, hops + usize::from(changed))
+        } else {
+            (c, hops)
+        }
+    });
+
+    // Seed the dedup set with the input: a candidate identical to the
+    // configuration it rewrites is a wasted hop, never a real move.
+    let mut seen = std::collections::HashSet::from([config.semantic_hash()]);
+    let candidates: Vec<Candidate> = fixed
+        .filter_map(|(config, primitives_applied)| {
+            let fingerprint = config.semantic_hash();
+            seen.insert(fingerprint).then_some(Candidate {
+                config,
+                primitive: prim,
+                stage,
+                primitives_applied,
+                fingerprint,
+            })
+        })
+        .collect();
+    for cand in &candidates {
+        crate::invariants::assert_valid(pm.model(), pm.cluster(), &cand.config, prim.name());
+        crate::invariants::assert_fingerprint(&cand.config, cand.fingerprint, prim.name());
+    }
+    candidates
+}
+
+/// The raw moves a primitive implies, each with the number of primitive
+/// applications it bundles, before the recompute fix-up and dedup.
+fn primitive_moves<E: Evaluator>(
+    pm: &E,
+    config: &ParallelConfig,
+    est: &ConfigEstimate,
+    prim: Primitive,
+    stage: usize,
+    resource: Resource,
+    gen_opts: GenOptions,
+) -> Vec<(ParallelConfig, usize)> {
     let model = pm.model();
     let p = config.num_stages();
-    // (candidate, primitives applied so far)
     let mut out: Vec<(ParallelConfig, usize)> = Vec::new();
 
     match prim {
@@ -411,41 +461,7 @@ pub fn generate_with<E: Evaluator>(
             out.extend(set_zero(config, stage, false).map(|c| (c, 1)));
         }
     }
-
-    // §4.3: attach a recompute fix-up to every candidate so memory shifts
-    // caused by the primitive do not leave a stage needlessly OOM or
-    // needlessly recomputing. The fix-up counts as one more applied
-    // primitive when it changes the configuration.
-    let fixed: Vec<(ParallelConfig, usize)> = if gen_opts.attach_rc {
-        out.into_iter()
-            .map(|(c, hops)| {
-                let before = c.semantic_hash();
-                let fixed = rc_fixup(pm, c);
-                let extra = usize::from(fixed.semantic_hash() != before);
-                (fixed, hops + extra)
-            })
-            .collect()
-    } else {
-        out
-    };
-
-    // Seed the dedup set with the input: a candidate identical to the
-    // configuration it rewrites is a wasted hop, never a real move.
-    let mut seen = std::collections::HashSet::from([config.semantic_hash()]);
-    let candidates: Vec<Candidate> = fixed
-        .into_iter()
-        .filter(|(c, _)| seen.insert(c.semantic_hash()))
-        .map(|(config, primitives_applied)| Candidate {
-            config,
-            primitive: prim,
-            stage,
-            primitives_applied,
-        })
-        .collect();
-    for cand in &candidates {
-        crate::invariants::assert_valid(model, pm.cluster(), &cand.config, prim.name());
-    }
-    candidates
+    out
 }
 
 /// ZeRO-1 extension: flips optimiser-state sharding for every op in the
@@ -579,16 +595,24 @@ fn greedy_uncompute_in_headroom<E: Evaluator>(
 /// Attached recompute check (§4.3): after any primitive, re-fit recompute
 /// flags on every stage whose memory the primitive disturbed.
 pub fn rc_fixup<E: Evaluator>(pm: &E, config: ParallelConfig) -> ParallelConfig {
+    fixup_recompute(pm, config).0
+}
+
+/// [`rc_fixup`], also reporting whether it set any recompute flag:
+/// `greedy_recompute_to_fit` returns `Some` only when it flipped one.
+fn fixup_recompute<E: Evaluator>(pm: &E, config: ParallelConfig) -> (ParallelConfig, bool) {
     let est = pm.evaluate_unchecked(&config);
     let mut cfg = config;
+    let mut changed = false;
     for stage in 0..cfg.stages.len() {
         if est.stages[stage].mem_total > pm.cluster().device.mem_bytes {
             if let Some(fixed) = greedy_recompute_to_fit(pm, &cfg, &est, stage) {
                 cfg = fixed;
+                changed = true;
             }
         }
     }
-    cfg
+    (cfg, changed)
 }
 
 #[cfg(test)]
@@ -714,6 +738,62 @@ mod tests {
         let fixed = rc_fixup(&pm, cfg);
         let after = pm.evaluate_unchecked(&fixed);
         assert!(after.max_memory < before.max_memory);
+    }
+
+    #[test]
+    fn fixup_hop_matches_the_hash_comparison_rule() {
+        // Memory-tight enough that the attached fix-up fires on some
+        // candidates and leaves others alone.
+        let m = gpt3_custom("t", 24, 2048, 16, 2048, 51200, 256);
+        let c = ClusterSpec::v100(1, 4);
+        let db = ProfileDb::build(&m, &c);
+        let pm = PerfModel::new(&m, &c, &db);
+        let opts = GenOptions {
+            attach_rc: true,
+            relay_moves: true,
+            enable_zero: true,
+        };
+        let (mut fired, mut idle) = (0usize, 0usize);
+        for p in [1, 2, 4] {
+            let cfg = balanced_init(&m, &c, p).expect("init");
+            let est = pm.evaluate_unchecked(&cfg);
+            for stage in 0..p {
+                for resource in Resource::ALL {
+                    for prim in Primitive::EXTENDED {
+                        // Reference rule: one more hop exactly when the
+                        // fix-up changes the configuration's hash.
+                        let mut seen = std::collections::HashSet::from([cfg.semantic_hash()]);
+                        let want: Vec<(u64, usize)> =
+                            primitive_moves(&pm, &cfg, &est, prim, stage, resource, opts)
+                                .into_iter()
+                                .filter_map(|(raw, hops)| {
+                                    let before = raw.semantic_hash();
+                                    let after = rc_fixup(&pm, raw).semantic_hash();
+                                    if after == before {
+                                        idle += 1;
+                                    } else {
+                                        fired += 1;
+                                    }
+                                    seen.insert(after)
+                                        .then_some((after, hops + usize::from(after != before)))
+                                })
+                                .collect();
+                        let got: Vec<(u64, usize)> =
+                            generate_with(&pm, &cfg, &est, prim, stage, resource, opts)
+                                .iter()
+                                .map(|cand| (cand.fingerprint, cand.primitives_applied))
+                                .collect();
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} on stage {stage}/{p} for {resource:?}",
+                            prim.name()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(fired > 0 && idle > 0, "fixture must exercise both outcomes");
     }
 
     #[test]

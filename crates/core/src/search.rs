@@ -1079,13 +1079,12 @@ impl Ctx<'_> {
                 step.resource,
                 self.opts.gen_options,
             ) {
-                let h = cand.config.semantic_hash();
-                if !self.visited.insert(h) {
+                if !self.visited.insert(cand.fingerprint) {
                     self.rec.count(Counter::CandidatesDeduped);
                     continue;
                 }
                 let cest = self.ev.evaluate_unchecked(&cand.config);
-                if let Some(hit) = self.settle_candidate(step, cand, h, cest, pool) {
+                if let Some(hit) = self.settle_candidate(step, cand, cest, pool) {
                     return Some(hit);
                 }
             }
@@ -1138,16 +1137,15 @@ impl Ctx<'_> {
                     }
                     CandEval::Done {
                         cand,
-                        hash,
                         est: cest,
                         trace,
                     } => {
-                        if !self.visited.insert(hash) {
+                        if !self.visited.insert(cand.fingerprint) {
                             self.rec.count(Counter::CandidatesDeduped);
                             continue;
                         }
                         self.ev.absorb_trace(&trace);
-                        if let Some(hit) = self.settle_candidate(step, cand, hash, cest, pool) {
+                        if let Some(hit) = self.settle_candidate(step, cand, cest, pool) {
                             return Some(hit);
                         }
                     }
@@ -1163,7 +1161,6 @@ impl Ctx<'_> {
         &mut self,
         step: &HopStep<'_>,
         cand: Candidate,
-        h: u64,
         cest: ConfigEstimate,
         pool: &mut Vec<PoolEntry>,
     ) -> Option<(ParallelConfig, usize)> {
@@ -1176,7 +1173,7 @@ impl Ctx<'_> {
             self.rec.count(Counter::CandidatesAccepted);
             self.rec.emit(|| Event::CandidateAccepted {
                 stage_count: self.stage_count,
-                fingerprint: h,
+                fingerprint: cand.fingerprint,
                 score,
                 bottleneck_stage: step.bottleneck.stage,
                 primitive: cand.primitive.name(),
@@ -1194,7 +1191,7 @@ impl Ctx<'_> {
         self.rec.count(Counter::CandidatesRejected);
         self.rec.emit(|| Event::CandidateRejected {
             stage_count: self.stage_count,
-            fingerprint: h,
+            fingerprint: cand.fingerprint,
             score,
             bottleneck_stage: step.bottleneck.stage,
             primitive: cand.primitive.name(),

@@ -145,22 +145,7 @@ fn stage_key(config: &ParallelConfig, i: usize, dev_start: usize) -> StageKey {
     h.write_usize(s.op_start);
     h.write_usize(s.op_end);
     h.write_usize(s.gpus);
-    // Run-length encode per-op settings, mirroring `semantic_hash`.
-    let mut j = 0;
-    while j < s.ops.len() {
-        let o = s.ops[j];
-        let mut run = 1;
-        while j + run < s.ops.len() && s.ops[j + run] == o {
-            run += 1;
-        }
-        h.write_usize(run);
-        h.write_u64(u64::from(o.tp));
-        h.write_u64(u64::from(o.dp));
-        h.write_u64(u64::from(o.dim_index));
-        h.write_bool(o.recompute);
-        h.write_bool(o.zero);
-        j += run;
-    }
+    s.hash_settings(&mut h);
     StageKey {
         content: h.finish(),
         microbatch: config.microbatch,

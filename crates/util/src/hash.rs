@@ -10,6 +10,18 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// FNV-1a prime (64-bit).
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
+/// `FNV_PRIME^k` for `k` in `0..=8`: an FNV-1a step over a zero byte is a
+/// bare multiply by the prime, so `k` zero bytes fold into one multiply.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 /// Hashes a byte slice with 64-bit FNV-1a.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -46,11 +58,13 @@ impl Default for FnvHasher {
 
 impl FnvHasher {
     /// Creates a hasher in the initial state.
+    #[inline]
     pub fn new() -> Self {
         Self { state: FNV_OFFSET }
     }
 
     /// Feeds raw bytes.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
@@ -59,21 +73,40 @@ impl FnvHasher {
     }
 
     /// Feeds a `u64` (little-endian).
+    ///
+    /// Bit-identical to `write_bytes(&v.to_le_bytes())`, but the high zero
+    /// bytes (most fed values are below 256) cost one multiply together.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let zeros = (v.leading_zeros() / 8) as usize;
+        if zeros == 8 {
+            self.state = self.state.wrapping_mul(FNV_PRIME_POW[8]);
+            return;
+        }
+        let bytes = v.to_le_bytes();
+        let last = 7 - zeros;
+        let mut h = self.state;
+        for &b in &bytes[..last] {
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        // The last significant byte's own multiply joins the zeros' run.
+        self.state = (h ^ u64::from(bytes[last])).wrapping_mul(FNV_PRIME_POW[zeros + 1]);
     }
 
     /// Feeds a `usize` as `u64`.
+    #[inline]
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
     /// Feeds a `bool` as one byte.
+    #[inline]
     pub fn write_bool(&mut self, v: bool) {
         self.write_bytes(&[u8::from(v)]);
     }
 
     /// Returns the current hash value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.state
     }
@@ -112,6 +145,47 @@ mod tests {
         let mut h = FnvHasher::new();
         h.write_bytes(b"hello world");
         assert_eq!(h.finish(), fnv1a(b"hello world"));
+    }
+
+    /// The reference `write_u64`: one FNV-1a step per little-endian byte.
+    fn bytewise(state: u64, v: u64) -> u64 {
+        let mut h = FnvHasher { state };
+        h.write_bytes(&v.to_le_bytes());
+        h.finish()
+    }
+
+    #[test]
+    fn write_u64_matches_bytewise_at_every_width() {
+        let mut rng = crate::SplitMix64::new(0xF17A);
+        let states = [FNV_OFFSET, 0, u64::MAX, fnv1a(b"stage"), rng.next_u64()];
+        let mut checked = 0;
+        for &state in &states {
+            // Every count of significant bytes, 0 through 8, at its
+            // extremes: only the top byte set, and every byte set.
+            for width in 0..=8u32 {
+                let vals: &[u64] = match width {
+                    0 => &[0],
+                    8 => &[1 << 56, u64::MAX],
+                    w => &[1 << (8 * (w - 1)), (1 << (8 * w)) - 1],
+                };
+                for &v in vals {
+                    assert_eq!(8 - v.leading_zeros() / 8, width);
+                    let mut h = FnvHasher { state };
+                    h.write_u64(v);
+                    assert_eq!(h.finish(), bytewise(state, v), "v={v:#x} state={state:#x}");
+                    checked += 1;
+                }
+            }
+            // Random values, shifted down so every width occurs often.
+            for i in 0..2_500u32 {
+                let v = rng.next_u64() >> (i % 64);
+                let mut h = FnvHasher { state };
+                h.write_u64(v);
+                assert_eq!(h.finish(), bytewise(state, v), "v={v:#x} state={state:#x}");
+                checked += 1;
+            }
+        }
+        assert!(checked >= 10_000);
     }
 
     #[test]

@@ -132,7 +132,8 @@ the model-zoo corpus; exits non-zero if any finding is reported
   --epsilon E       float comparison tolerance (default 1e-9)
   --mutate M        seed a bug injection for the mutation gates; the run
                     must exit 1 with the matching finding (one of:
-                    mem-bound, reorder-frame, swap-lock-pair)
+                    mem-bound, reorder-frame, swap-lock-pair,
+                    stale-fingerprint)
   --metrics-out FILE  write an observability metric snapshot with the
                     per-rule `audit_findings` counter family
 
